@@ -52,6 +52,11 @@ go test -race -count=1 -run 'TestDecide|TestAudit|TestDebugDecisions' ./internal
 go test -race -count=1 -run 'TestTraceTimelineEndToEnd|TestRepairReplayAppendsRepairHop' ./internal/core/
 go test -count=1 -run TestDefaultCounterFamiliesPreTouched ./internal/metrics/
 
+# Receive-path fuzz smoke: Unwrapper.Unwrap then Decode over mutated
+# datagrams (seeded from testdata/fuzz/FuzzUnwrap) must never panic and
+# never write to the datagram, which every recipient of a send shares.
+go test -run '^$' -fuzz FuzzUnwrap -fuzztime 10s ./internal/message/
+
 # Disabled tracing must stay zero-alloc, and enabling it must cost
 # under 5% on the dispatch-representative workload (non-race: the race
 # runtime distorts timing, the guards skip themselves under -race).

@@ -251,8 +251,9 @@ func benchTimelineQuery(b *testing.B) {
 
 // benchReplayGrid measures one op = a full counterfactual policy sweep
 // (DESIGN.md §15): a 2-sender, 3-second lossy workload replayed through
-// the DESNet once per candidate in an 8-policy grid, scored and ranked.
-// This is the end-to-end cost a qosreplay user pays per 8 candidates.
+// the virtual-clock SimNet once per candidate in an 8-policy grid,
+// scored and ranked.  This is the end-to-end cost a qosreplay user pays
+// per 8 candidates.
 func benchReplayGrid(b *testing.B) {
 	w := &replay.Workload{
 		StartNS:   1_000_000_000,
@@ -292,10 +293,10 @@ func benchReplayGrid(b *testing.B) {
 }
 
 // benchScenario measures one op = pushing a 10-second simulated
-// lecture-hall window through the discrete-event network at the given
+// lecture-hall window through the virtual-clock SimNet at the given
 // population (DESIGN.md §14).  ns/op is the wall cost of that fixed
-// simulated window, so the 10k → 100k ratio is the DESNet scaling
-// curve.
+// simulated window, so the 10k → 100k ratio is the virtual-clock
+// SimNet scaling curve.
 func benchScenario(b *testing.B, clients int) {
 	cfg := scenario.Config{
 		Kind:     scenario.LectureHall,

@@ -1,8 +1,8 @@
 // Command qossim runs seeded large-scale collaboration scenarios on
-// the discrete-event network (transport.DESNet) in virtual time: a
-// 100k-client session covering simulated minutes completes in
-// wall-clock minutes on one box, and the same seed reproduces the run
-// byte for byte.
+// the simulated network (transport.SimNet on a clock.Virtual, so every
+// delivery is a virtual-time event): a 100k-client session covering
+// simulated minutes completes in wall-clock minutes on one box, and
+// the same seed reproduces the run byte for byte.
 //
 // Example — the paper's lecture-hall shape at full scale:
 //

@@ -8,7 +8,7 @@ import (
 
 // Event is work scheduled on a Virtual clock's heap.  Implementing it
 // directly (rather than going through ScheduleFunc's closure) lets hot
-// schedulers — the discrete-event network's per-delivery records — pay
+// schedulers — the virtual-clock SimNet's per-delivery records — pay
 // one allocation per event instead of two.
 type Event interface {
 	// Fire runs the event at its scheduled instant.  It executes on the
@@ -33,7 +33,7 @@ var DefaultEpoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 // Goroutines blocked in Sleep or on timer channels wake when the
 // driver advances past their deadline; they run concurrently with the
 // driver, so full run-for-run determinism holds when the simulation's
-// work happens inside Event.Fire callbacks (the discrete-event network
+// work happens inside Event.Fire callbacks (the virtual-clock SimNet
 // delivers to handler-mode attachments for exactly this reason).
 type Virtual struct {
 	mu    sync.Mutex

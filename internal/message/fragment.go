@@ -160,7 +160,10 @@ func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 		if len(r.pending) >= r.maxPending() {
 			r.evictLocked()
 		}
-		pm = &pendingMsg{count: f.Count, chunks: make(map[uint16][]byte, f.Count)}
+		// The map grows with the chunks that actually arrive: sizing it
+		// from the sender-declared Count would let one small datagram
+		// claiming 65535 fragments pin megabytes.
+		pm = &pendingMsg{count: f.Count, chunks: make(map[uint16][]byte)}
 		r.pending[f.MsgID] = pm
 	}
 	if pm.count != f.Count {

@@ -3,7 +3,9 @@ package message
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -198,6 +200,40 @@ func TestReassemblerEviction(t *testing.T) {
 	}
 	if _, k := r.PartialPayload(4); k == 0 {
 		t.Error("most-complete message should survive eviction")
+	}
+}
+
+// TestReassemblerDeclaredCountDoesNotAmplify is the memory
+// amplification regression: 80 fragment datagrams of 1.2 KB, each
+// claiming 65535 siblings, from 20 peers must hold state proportional
+// to the bytes received, not to the declared fragment count (sizing the
+// chunk map from Count held about 400 MB here).
+func TestReassemblerDeclaredCountDoesNotAmplify(t *testing.T) {
+	const (
+		peers     = 20
+		datagrams = 80
+		size      = 1200
+	)
+	chunk := make([]byte, size-1-fragHeaderLen)
+	u := NewUnwrapper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < datagrams; i++ {
+		f := Fragment{MsgID: uint64(i), Index: uint16(i), Count: MaxFragments, Chunk: chunk}
+		dg := f.AppendMarshal([]byte{envFragment})
+		if len(dg) != size {
+			t.Fatalf("datagram is %d bytes, want %d", len(dg), size)
+		}
+		if frame, err := u.Unwrap(fmt.Sprintf("peer-%d", i%peers), dg); err != nil || frame != nil {
+			t.Fatalf("datagram %d: frame %v, err %v", i, frame, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(u)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 16<<20 {
+		t.Fatalf("heap grew %d MB for %d KB of fragments", grew>>20, datagrams*size>>10)
 	}
 }
 

@@ -220,7 +220,7 @@ func Simulate(w *Workload, pol Policy, cfg SimConfig) Outcome {
 
 	const coordID = "\x00replay-coord" // NUL prefix: can't collide with client IDs
 	clk := clock.NewVirtual(time.Unix(0, w.StartNS))
-	net := transport.NewDESNet(transport.DESNetConfig{
+	net := transport.NewSimNet(transport.SimNetConfig{
 		Seed:        cfg.Seed,
 		DefaultLink: transport.Link{Delay: cfg.Delay, Jitter: cfg.Jitter, Loss: cfg.Loss},
 		MTU:         1 << 22,

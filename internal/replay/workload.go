@@ -4,7 +4,7 @@
 // reduced to a Workload: the publish schedule (who sent what, when, how
 // big), the host-resource timeline the inference rules reacted to, the
 // observed per-link loss, and the wireless clients' SIR trace.  The
-// workload is then re-simulated on clock.Virtual + transport.DESNet
+// workload is then re-simulated on clock.Virtual + transport.SimNet
 // under each candidate Policy, and the outcomes are scored with the
 // same burn-rate math the live SLO engine uses, so "what would policy X
 // have done to this session" is answered deterministically: the same

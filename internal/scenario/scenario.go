@@ -1,12 +1,12 @@
 // Package scenario generates deterministic large-scale workloads on a
-// transport.DESNet: every client is a handler-mode attachment whose
-// logic runs inside virtual-clock events, so a seeded run of 100k
-// clients is single-threaded, reproducible byte for byte, and costs
-// wall-clock seconds-to-minutes instead of the simulated session's
-// real length.  Four generators cover the workload shapes the paper's
-// adaptation machinery must survive: a flash-crowd join ramp, a
-// lecture-hall broadcast, mobility churn with link degradation, and a
-// diurnal load curve.
+// transport.SimNet driven by a clock.Virtual: every client is a
+// handler-mode attachment whose logic runs inside virtual-clock
+// events, so a seeded run of 100k clients is single-threaded,
+// reproducible byte for byte, and costs wall-clock seconds-to-minutes
+// instead of the simulated session's real length.  Four generators
+// cover the workload shapes the paper's adaptation machinery must
+// survive: a flash-crowd join ramp, a lecture-hall broadcast, mobility
+// churn with link degradation, and a diurnal load curve.
 //
 // The output is a Result: end-to-end delivery latency quantiles, loss,
 // a per-time-bucket curve of both, and a running event hash over the
@@ -158,7 +158,7 @@ func (r Result) Deterministic() Result {
 // suffice.
 type run struct {
 	cfg     Config
-	net     *transport.DESNet
+	net     *transport.SimNet
 	clk     *clock.Virtual
 	rng     *rand.Rand // workload randomness, separate from the net's
 	startNS int64
@@ -266,7 +266,7 @@ func Run(cfg Config) (Result, error) {
 func RunWithTimeline(cfg Config) (Result, *timeline.Timeline, error) {
 	cfg = cfg.withDefaults()
 	clk := clock.NewVirtual(time.Time{})
-	net := transport.NewDESNet(transport.DESNetConfig{
+	net := transport.NewSimNet(transport.SimNetConfig{
 		Seed:        cfg.Seed,
 		DefaultLink: cfg.Link,
 		Clock:       clk,

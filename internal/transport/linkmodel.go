@@ -8,8 +8,7 @@ import (
 // linkPlan is the outcome of applying a Link's model to one frame:
 // whether it is dropped, how many copies arrive (duplication), the
 // latency until delivery, and the link's updated serialization
-// horizon.  SimNet and DESNet share this so a scenario run in virtual
-// time and one run in scaled wall time see the same network.
+// horizon.
 type linkPlan struct {
 	drop   bool
 	copies int
@@ -19,34 +18,26 @@ type linkPlan struct {
 
 // planLink draws one frame's fate from the link model.  busy is the
 // link's current serialization horizon and now the clock reading both
-// are measured on; timeScale divides every simulated duration into the
-// caller's time base (1 for a virtual clock, SimNet's TimeScale for
-// compressed wall time).  The rng draws (loss, duplication, jitter)
-// must come from a seeded source owned by the caller for
-// reproducibility — crucially, the draw sequence is identical for
-// every timeScale.
-func planLink(l Link, frameLen int, rng *rand.Rand, busy, now time.Time, timeScale float64) linkPlan {
+// are measured on.  The rng draws (loss, duplication, jitter) must come
+// from a seeded source owned by the caller for reproducibility.
+func planLink(l Link, frameLen int, rng *rand.Rand, busy, now time.Time) linkPlan {
 	if l.Down || (l.Loss > 0 && rng.Float64() < l.Loss) {
 		return linkPlan{drop: true, busy: busy}
 	}
-	p := linkPlan{copies: 1, busy: busy}
+	p := linkPlan{copies: 1, busy: busy, delay: l.Delay}
 	if l.Duplicate > 0 && rng.Float64() < l.Duplicate {
 		p.copies = 2
 	}
-	simDelay := l.Delay
 	if l.Jitter > 0 {
-		simDelay += time.Duration(rng.Int63n(int64(l.Jitter) + 1))
+		p.delay += time.Duration(rng.Int63n(int64(l.Jitter) + 1))
 	}
-	p.delay = time.Duration(float64(simDelay) / timeScale)
 	if l.BandwidthBps > 0 {
-		ser := time.Duration(float64(frameLen*8) / l.BandwidthBps * float64(time.Second))
-		scaledSer := time.Duration(float64(ser) / timeScale)
 		// Serialization occupies the link: back-to-back sends queue
 		// behind the instant the link frees up.
 		if p.busy.Before(now) {
 			p.busy = now
 		}
-		p.busy = p.busy.Add(scaledSer)
+		p.busy = p.busy.Add(time.Duration(float64(frameLen*8) / l.BandwidthBps * float64(time.Second)))
 		p.delay += p.busy.Sub(now)
 	}
 	return p

@@ -146,23 +146,6 @@ func TestSimNetDelayAndJitter(t *testing.T) {
 	}
 }
 
-func TestSimNetTimeScale(t *testing.T) {
-	// 1 simulated second of delay compressed 100× → ~10ms real.
-	net := NewSimNet(SimNetConfig{Seed: 7, TimeScale: 100})
-	defer net.Close()
-	a, _ := net.Attach("a")
-	b, _ := net.Attach("b")
-	net.SetLink("a", "b", Link{Delay: time.Second})
-
-	start := time.Now()
-	a.Unicast("b", []byte("scaled"))
-	collect(t, b.Recv(), 1, time.Second)
-	elapsed := time.Since(start)
-	if elapsed < 5*time.Millisecond || elapsed > 300*time.Millisecond {
-		t.Errorf("scaled delivery after %v, want ~10ms", elapsed)
-	}
-}
-
 func TestSimNetBandwidthQueueing(t *testing.T) {
 	net := NewSimNet(SimNetConfig{Seed: 7})
 	defer net.Close()
@@ -367,5 +350,60 @@ func TestSimNetLinkBusyPurgedOnClose(t *testing.T) {
 	net.mu.Unlock()
 	if n != 0 {
 		t.Errorf("linkBusy retains %d entries after all peers detached", n)
+	}
+}
+
+// seededLossDeliveries multicasts the same frames from one sender to
+// eight receivers over a lossy wall-clock SimNet and returns, per
+// receiver, the payload bytes it was delivered.
+func seededLossDeliveries(t *testing.T, seed int64) map[string][]byte {
+	t.Helper()
+	net := NewSimNet(SimNetConfig{Seed: seed, DefaultLink: Link{Loss: 0.3}})
+	defer net.Close()
+	const frames = 200
+	rxs := make([]Conn, 8)
+	for i := range rxs {
+		var err error
+		if rxs[i], err = net.Attach(fmt.Sprintf("rx-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx, err := net.Attach("tx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		if err := tx.Multicast([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Zero-delay links deliver inline, so every surviving frame is
+	// already queued when Multicast returns.
+	got := make(map[string][]byte)
+	for _, rx := range rxs {
+		for len(rx.Recv()) > 0 {
+			got[rx.ID()] = append(got[rx.ID()], (<-rx.Recv()).Data[0])
+		}
+	}
+	return got
+}
+
+// TestSimNetSeededLossIsDeterministic: with the same seed, each
+// receiver on a lossy wall-clock network loses the same frames run
+// after run, because each send draws the rng over the recipients in a
+// fixed order rather than in map iteration order.
+func TestSimNetSeededLossIsDeterministic(t *testing.T) {
+	a, b := seededLossDeliveries(t, 5), seededLossDeliveries(t, 5)
+	if len(a) != 8 {
+		t.Fatalf("%d receivers got frames, want 8", len(a))
+	}
+	for id, frames := range a {
+		if len(frames) == 0 || len(frames) == 200 {
+			t.Errorf("%s: %d of 200 frames at 30%% loss", id, len(frames))
+		}
+		if string(frames) != string(b[id]) {
+			t.Errorf("%s: delivered-frame sets differ across same-seed runs (%d vs %d frames)",
+				id, len(frames), len(b[id]))
+		}
 	}
 }

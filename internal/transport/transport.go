@@ -1,9 +1,11 @@
 // Package transport provides the communication substrate beneath the
-// messaging layer: a multicast-with-unicast abstraction, a simulated
-// network with configurable per-link bandwidth, propagation delay,
-// jitter, loss and duplication (used by the experiments for
-// reproducibility), and a real UDP implementation for running the
-// framework across processes.
+// messaging layer: a multicast-with-unicast abstraction, one simulated
+// network (SimNet) with configurable per-link bandwidth, propagation
+// delay, jitter, loss and duplication, and a real UDP implementation
+// for running the framework across processes.  SimNet runs the real
+// stack on the wall clock and the seeded scenario and replay drivers
+// on a clock.Virtual; the clock type picks how a delivery is carried
+// out, and the link model, fan-out order and node table are shared.
 //
 // The model follows the paper: clients join a multicast session;
 // multicast carries session traffic to every peer, while unicast is
@@ -19,7 +21,8 @@ import (
 type Packet struct {
 	// From is the sender's node ID.
 	From string
-	// Data is the frame payload (owned by the receiver).
+	// Data is the frame payload: read-only, and it may be shared by
+	// every recipient of one send.
 	Data []byte
 	// Unicast reports whether the frame was addressed to this node
 	// specifically rather than to the multicast group.

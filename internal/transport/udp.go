@@ -19,7 +19,7 @@ import (
 // unicast flag, so receivers see the same Packet shape as on SimNet.
 type UDPTransport struct {
 	// Clock stamps received packets (nil = wall clock).  Set before
-	// Listen; like SimNet and DESNet, arrival timestamps go through the
+	// Listen; like SimNet, arrival timestamps go through the
 	// seam so recorded and replayed sessions see consistent time.
 	Clock clock.Clock
 
