@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"adaptiveqos/internal/apps"
@@ -25,6 +26,7 @@ import (
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/radio"
+	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/snmp"
 	"adaptiveqos/internal/transport"
@@ -513,6 +515,117 @@ func BenchmarkBaseStationFanOutSequential(b *testing.B) {
 	b.Run("clients=64", func(b *testing.B) {
 		benchFanOut(b, 64, 1)
 	})
+}
+
+// BenchmarkBaseStationImageFanOut measures one collected wired-side
+// 64×64 image share delivered to 12 wireless clients, 4 per tier (full
+// image, sketch, text): collection, decode and re-encode, the tier
+// transforms and every client's unicasts.  It is the micro-bench
+// behind the pipeline benchmark's stage.transform number.
+func BenchmarkBaseStationImageFanOut(b *testing.B) {
+	wiredNet := transport.NewSimNet(transport.SimNetConfig{Seed: 1})
+	radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: 2})
+	defer wiredNet.Close()
+	defer radioNet.Close()
+	bsWired, err := wiredNet.Attach("bs")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bsRF, err := radioNet.Attach("bs")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := wiredNet.Attach("src")
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Every client is at the full-image tier by SIR; declared
+	// modality preferences put 4 on sketch and 4 on text.
+	bs := basestation.New("bs", bsWired, bsRF, radio.NewChannel(radio.Params{}),
+		basestation.Config{Thresholds: radio.Thresholds{TextDB: -1000, SketchDB: -900, ImageDB: -800}})
+	defer bs.Close()
+
+	// Clients count arrivals on the delivering goroutine; the share
+	// is done when its last datagram lands.
+	var got, want atomic.Int64
+	done := make(chan struct{}, 1)
+	count := func(transport.Packet) {
+		if got.Add(1) == want.Load() {
+			done <- struct{}{}
+		}
+	}
+	for i, pref := range []string{"", "sketch", "text"} {
+		for j := 0; j < 4; j++ {
+			id := fmt.Sprintf("w%d-%d", i, j)
+			if _, err := radioNet.AttachHandler(id, count); err != nil {
+				b.Fatal(err)
+			}
+			p := profile.New(id)
+			p.Interests.SetString("media", "any")
+			if pref != "" {
+				p.Preferences.SetString("modality", pref)
+			}
+			if _, err := bs.Join(p, 30+float64(j), 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+
+	// The wired share's announce and packets, framed once: the base
+	// station purges a collection after delivering it, so the same
+	// datagrams make a fresh share every iteration.
+	obj, err := media.EncodeImage(wavelet.Medical(64, 64, 1), "field photo")
+	if err != nil {
+		b.Fatal(err)
+	}
+	meta, packets, err := apps.ShareImage("img", obj, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var share [][]byte
+	frame := func(m *message.Message) {
+		m.Sender, m.Seq = "src", uint32(len(share)+1)
+		f, err := message.Encode(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		share = append(share, message.WrapWhole(f))
+	}
+	frame(&message.Message{Kind: message.KindEvent, Body: apps.EncodeImageMeta(meta),
+		Attrs: selector.Attributes{
+			message.AttrApp:    selector.S(apps.AppImageViewer),
+			message.AttrObject: selector.S("img"),
+		}})
+	for i, p := range packets {
+		rp := rtp.Packet{PayloadType: 96, Seq: uint16(i), SSRC: 1, Payload: p}
+		frame(&message.Message{Kind: message.KindData, Body: rp.Marshal(),
+			Attrs: selector.Attributes{
+				message.AttrApp:    selector.S(apps.AppImageViewer),
+				message.AttrObject: selector.S("img"),
+				message.AttrLevel:  selector.N(float64(i)),
+			}})
+	}
+	// 4 × (announce + 16 packets) + 4 sketches + 4 texts, one datagram each.
+	const perShare = 4*(1+16) + 4 + 4
+	deliver := func(n int) {
+		want.Store(int64(perShare * n))
+		for _, d := range share {
+			if err := src.Multicast(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		<-done
+	}
+
+	deliver(1) // warm-up
+	if st := bs.Stats(); st.DownlinkUnicasts != perShare {
+		b.Fatalf("downlink unicasts per share = %d, want %d", st.DownlinkUnicasts, perShare)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deliver(i + 2)
+	}
 }
 
 func BenchmarkSelectorParse(b *testing.B) {

@@ -28,6 +28,12 @@ done
 # results never mask a freshly introduced race.
 go test -race -count=1 ./internal/dispatch/ ./internal/registry/
 
+# Transform-once gate (DESIGN.md §9): a share served to several
+# sketch- and text-tier clients through the concurrent fan-out pool is
+# transformed once per tier, race-clean, and every client decodes what
+# a direct transform yields.
+go test -race -count=1 -run 'TestCollectedImageTransformsOncePerTier|TestUplinkShareTransformsOncePerTier' ./internal/basestation/
+
 # Gap-repair chaos gate (DESIGN.md §10): the seeded fault matrix
 # (loss × duplicate × jitter × healed partition) and the abandon path
 # must converge race-clean, with -count=1 so cached results never mask

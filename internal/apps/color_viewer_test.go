@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"runtime"
 	"testing"
 
 	"adaptiveqos/internal/media"
@@ -78,5 +79,76 @@ func TestImageViewerColorShare(t *testing.T) {
 
 	if _, err := v.RenderColor("ghost"); err == nil {
 		t.Error("unknown object accepted")
+	}
+}
+
+// IsColor reads the stream magic from the accepted packets without
+// assembling the stream: a color share says yes once its first packet
+// is accepted, a grayscale share never does.
+func TestImageViewerIsColor(t *testing.T) {
+	colorObj, err := media.EncodeColorImage(wavelet.ColorScene(48, 48, 3), "color")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grayObj, err := media.EncodeImage(wavelet.Medical(48, 48, 1), "gray")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewImageViewer()
+	if _, err := v.IsColor("nope"); err == nil {
+		t.Error("IsColor of an unknown share should fail")
+	}
+	for _, c := range []struct {
+		object string
+		obj    *media.Object
+		want   bool
+	}{{"c", colorObj, true}, {"g", grayObj, false}} {
+		meta, packets, err := ShareImage(c.object, c.obj, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Announce(meta)
+		if got, err := v.IsColor(c.object); err != nil || got {
+			t.Errorf("%s with nothing accepted: IsColor = %v, %v", c.object, got, err)
+		}
+		for i, p := range packets {
+			if err := v.AddPacket(c.object, i, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := v.IsColor(c.object); err != nil || got != c.want {
+			t.Errorf("%s: IsColor = %v, %v; want %v", c.object, got, err, c.want)
+		}
+	}
+}
+
+// A sender-declared StreamBytes far beyond what arrived must not size
+// the assembled stream: rendering allocates for the arrived bytes.
+func TestImageViewerRenderIgnoresDeclaredStreamBytes(t *testing.T) {
+	obj, err := media.EncodeImage(wavelet.Medical(32, 32, 1), "gray")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, packets, err := ShareImage("big", obj, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta.StreamBytes = 1 << 30
+	v := NewImageViewer()
+	v.Announce(meta)
+	for i, p := range packets {
+		if err := v.AddPacket("big", i, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := v.Render("big")
+	runtime.ReadMemStats(&after)
+	if err != nil || !res.Lossless {
+		t.Fatalf("render: %v lossless=%v", err, res != nil && res.Lossless)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("render allocated %d bytes for a %d-byte stream", grew, len(obj.Data))
 	}
 }

@@ -265,23 +265,57 @@ func (v *ImageViewer) Stats(object string) (ImageStats, error) {
 	return st, nil
 }
 
-// Render decodes the accepted prefix of a shared image.
-func (v *ImageViewer) Render(object string) (*wavelet.DecodeResult, error) {
+// colorMagic opens a color container stream (wavelet.EncodeColor).
+const colorMagic = "EZC1"
+
+// acceptedStream assembles a copy of the accepted prefix of a shared
+// image, sized from the packets that actually arrived (never from the
+// sender-declared StreamBytes).
+func (v *ImageViewer) acceptedStream(object string) ([]byte, ImageMeta, error) {
 	v.mu.RLock()
+	defer v.mu.RUnlock()
 	si, ok := v.images[object]
 	if !ok {
-		v.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownImage, object)
+		return nil, ImageMeta{}, fmt.Errorf("%w: %q", ErrUnknownImage, object)
 	}
-	var stream []byte
+	n := 0
+	for i := 0; i < si.accepted; i++ {
+		n += len(si.received[i])
+	}
+	stream := make([]byte, 0, n)
 	for i := 0; i < si.accepted; i++ {
 		stream = append(stream, si.received[i]...)
 	}
-	meta := si.meta
-	v.mu.RUnlock()
+	return stream, si.meta, nil
+}
+
+// IsColor reports whether the accepted prefix of a shared image opens
+// with the color container magic, without assembling the stream, so a
+// caller can pick Render or RenderColor once.
+func (v *ImageViewer) IsColor(object string) (bool, error) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	si, ok := v.images[object]
+	if !ok {
+		return false, fmt.Errorf("%w: %q", ErrUnknownImage, object)
+	}
+	var magic [len(colorMagic)]byte
+	n := 0
+	for i := 0; i < si.accepted && n < len(magic); i++ {
+		n += copy(magic[n:], si.received[i])
+	}
+	return n == len(magic) && string(magic[:]) == colorMagic, nil
+}
+
+// Render decodes the accepted prefix of a shared image.
+func (v *ImageViewer) Render(object string) (*wavelet.DecodeResult, error) {
+	stream, meta, err := v.acceptedStream(object)
+	if err != nil {
+		return nil, err
+	}
 	// Color streams render through the color decoder; the grayscale
 	// Render view is the luma plane.
-	if len(stream) >= 4 && string(stream[:4]) == "EZC1" {
+	if len(stream) >= len(colorMagic) && string(stream[:len(colorMagic)]) == colorMagic {
 		cres, err := wavelet.DecodeColor(stream)
 		if err != nil {
 			return nil, err
@@ -303,18 +337,10 @@ func (v *ImageViewer) Render(object string) (*wavelet.DecodeResult, error) {
 // accepted data it returns a blank canvas; with a partial prefix the
 // chroma may be missing (a grayscale rendition).
 func (v *ImageViewer) RenderColor(object string) (*wavelet.ColorDecodeResult, error) {
-	v.mu.RLock()
-	si, ok := v.images[object]
-	if !ok {
-		v.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownImage, object)
+	stream, meta, err := v.acceptedStream(object)
+	if err != nil {
+		return nil, err
 	}
-	var stream []byte
-	for i := 0; i < si.accepted; i++ {
-		stream = append(stream, si.received[i]...)
-	}
-	meta := si.meta
-	v.mu.RUnlock()
 	res, err := wavelet.DecodeColor(stream)
 	if errors.Is(err, wavelet.ErrColorStream) && len(stream) < 16 {
 		return &wavelet.ColorDecodeResult{

@@ -41,12 +41,15 @@ func (bs *BaseStation) Join(p *profile.Profile, distance, power float64) (Assess
 	return bs.Assess(p.ID)
 }
 
-// Leave removes a wireless client.
+// Leave removes a wireless client and drops its partial RF reassembly
+// state, so fragments sent before the departure cannot complete a
+// message after a rejoin.
 func (bs *BaseStation) Leave(id string) error {
 	if !bs.reg.Remove(id) {
 		return fmt.Errorf("%w: %s", ErrNotJoined, id)
 	}
 	bs.channel.Leave(id)
+	bs.unwrap.Forget(rfPeer(id))
 	return nil
 }
 
