@@ -18,6 +18,7 @@ race:
 	$(GO) test -race -count=1 ./internal/dispatch/ ./internal/registry/
 	$(GO) test -race -count=1 ./internal/repair/
 	$(GO) test -race -count=1 -run 'TestRepairChaosMatrix|TestRepairHealedPartition|TestRepairAbandonsUnrepairableGap|TestCoordinatorDuplicateArchiveRegression' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCoordinatorSeqJumpDoesNotStall|TestCoordinatorNackCostIndependentOfArchive|TestHistoryRequestValidatesAfterSeq' ./internal/core/
 
 vet:
 	$(GO) vet ./...

@@ -16,9 +16,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/basestation"
+	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/experiments"
 	"adaptiveqos/internal/hostagent"
 	"adaptiveqos/internal/inference"
@@ -28,6 +30,7 @@ import (
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
+	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/snmp"
 	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
@@ -625,6 +628,79 @@ func BenchmarkBaseStationImageFanOut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		deliver(i + 2)
+	}
+}
+
+// BenchmarkCoordinatorNack answers one gap-repair NACK per op from an
+// archiving coordinator holding 20k frames from 8 senders: the request
+// asks for one sender's last 4 frames, and the op ends when all 4
+// replayed frames have reached the requester.  It is the micro-bench
+// behind the pipeline benchmark's lossy-repair cpu_us_per_item.
+func BenchmarkCoordinatorNack(b *testing.B) {
+	const senders, perSender, replayed = 8, 2500, 4
+	net := transport.NewSimNet(transport.SimNetConfig{Seed: 1})
+	defer net.Close()
+	cc, err := net.Attach("coordinator")
+	if err != nil {
+		b.Fatal(err)
+	}
+	coord := core.NewCoordinator(cc, session.Group{Objective: "bench-nack"})
+	defer coord.Close()
+	conns := make([]transport.Conn, senders)
+	for i := range conns {
+		if conns[i], err = net.Attach(fmt.Sprintf("sender-%d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for seq := 1; seq <= perSender; seq++ {
+		for _, c := range conns {
+			frame, err := message.Encode(&message.Message{
+				Kind: message.KindEvent, Sender: c.ID(), Seq: uint32(seq),
+				Attrs: selector.Attributes{message.AttrApp: selector.S("chat")},
+				Body:  []byte(fmt.Sprintf("line %d", seq)),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := c.Unicast("coordinator", message.WrapWhole(frame)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// Pace the senders so the coordinator's inbox never overflows.
+		for seq%64 == 0 && coord.ArchivedEvents() < seq*senders {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for coord.ArchivedEvents() < senders*perSender {
+		time.Sleep(time.Millisecond)
+	}
+
+	// The history-request control a replica's RequestHistoryFrom sends.
+	req, err := net.Attach("replica")
+	if err != nil {
+		b.Fatal(err)
+	}
+	nack, err := message.Encode(&message.Message{
+		Kind: message.KindControl, Sender: req.ID(), Seq: 1,
+		Attrs: selector.Attributes{
+			"ctrl":       selector.S("history-request"),
+			"for-sender": selector.S("sender-3"),
+			"after-seq":  selector.N(perSender - replayed),
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	datagram := message.WrapWhole(nack)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := req.Unicast("coordinator", datagram); err != nil {
+			b.Fatal(err)
+		}
+		for n := 0; n < replayed; n++ {
+			<-req.Recv()
+		}
 	}
 }
 

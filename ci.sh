@@ -41,6 +41,12 @@ go test -race -count=1 -run 'TestCollectedImageTransformsOncePerTier|TestUplinkS
 go test -race -count=1 ./internal/repair/
 go test -race -count=1 -run 'TestRepairChaosMatrix|TestRepairHealedPartition|TestRepairAbandonsUnrepairableGap|TestCoordinatorDuplicateArchiveRegression' ./internal/core/
 
+# Coordinator archive gate (DESIGN.md §10): a sequence-number jump must
+# not stall the coordinator or grow its missing-set past 1024, a NACK
+# must cost the same whatever other senders archived, and a malformed
+# after-seq is rejected, never truncated.
+go test -race -count=1 -run 'TestCoordinatorSeqJumpDoesNotStall|TestCoordinatorNackCostIndependentOfArchive|TestHistoryRequestValidatesAfterSeq' ./internal/core/
+
 # Observability-layer gates (tentpole contract, DESIGN.md §8):
 # instrumentation must be race-clean under concurrent recording and
 # near-free when disabled — zero allocations on the disabled path and

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"adaptiveqos/internal/clock"
@@ -32,20 +34,11 @@ type Coordinator struct {
 	unwrap *message.Unwrapper
 
 	mu      sync.Mutex
-	frames  map[uint64]archivedFrame // session seq → original frame + sender seq
 	streams map[string]*senderStream // per-sender arrival reordering
 	locks   *session.ObjectLocks     // distributed lock arbitration
 
 	closeOnce sync.Once
 	loopDone  chan struct{}
-}
-
-// archivedFrame is one archived original frame plus the sender-scoped
-// sequence number it carried, so NACK-style repair requests can be
-// answered per sender without re-decoding the archive.
-type archivedFrame struct {
-	data      []byte
-	senderSeq uint32
 }
 
 // Control-message vocabulary for the history protocol.
@@ -75,7 +68,6 @@ func NewCoordinatorClock(conn transport.Conn, group session.Group, clk clock.Clo
 		clk:      clock.Or(clk),
 		sess:     session.New(group),
 		unwrap:   message.NewUnwrapper(),
-		frames:   make(map[uint64]archivedFrame),
 		streams:  make(map[string]*senderStream),
 		locks:    session.NewObjectLocks(),
 		loopDone: make(chan struct{}),
@@ -92,22 +84,9 @@ func (c *Coordinator) ID() string { return c.conn.ID() }
 // Session exposes the archive (membership, history, sequence state).
 func (c *Coordinator) Session() *session.Session { return c.sess }
 
-// SetArchiveCap bounds retained history to the most recent n events.
-func (c *Coordinator) SetArchiveCap(n int) {
-	c.sess.SetArchiveCap(n)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Drop frames the session no longer remembers.
-	keep := make(map[uint64]bool)
-	for _, ev := range c.sess.History(0) {
-		keep[ev.Seq] = true
-	}
-	for seq := range c.frames {
-		if !keep[seq] {
-			delete(c.frames, seq)
-		}
-	}
-}
+// SetArchiveCap bounds retained history to the most recent n events
+// (0 = unlimited, the default).
+func (c *Coordinator) SetArchiveCap(n int) { c.sess.SetArchiveCap(n) }
 
 // Close detaches the coordinator.
 func (c *Coordinator) Close() error {
@@ -140,8 +119,8 @@ func (c *Coordinator) handle(pkt transport.Packet) {
 		// The substrate may reorder frames; the archive must reflect
 		// each sender's causal order, so frames pass through a
 		// per-sender reorder stage keyed on the sender sequence number.
-		for _, ordered := range c.reorder(m, frame) {
-			c.archive(ordered.msg, ordered.frame)
+		for _, ev := range c.reorder(m, frame) {
+			c.archive(ev)
 		}
 	case message.KindControl:
 		ctrl, ok := m.Attr(attrCtrl)
@@ -150,13 +129,10 @@ func (c *Coordinator) handle(pkt transport.Packet) {
 		}
 		switch ctrl.Str() {
 		case ctrlHistoryReq:
-			after := uint64(0)
-			if v, ok := m.Attr(attrAfterSeq); ok {
-				after = uint64(v.Num())
-			}
-			if forSender, ok := m.Attr(attrForSender); ok {
+			forSender, scoped := m.Attr(attrForSender)
+			if after, ok := historyAfter(m, scoped); ok && scoped {
 				c.replayFor(m.Sender, forSender.Str(), uint32(after))
-			} else {
+			} else if ok {
 				c.replay(m.Sender, after)
 			}
 		case ctrlLockRequest, ctrlLockRelease:
@@ -165,6 +141,22 @@ func (c *Coordinator) handle(pkt transport.Packet) {
 			}
 		}
 	}
+}
+
+// historyAfter reads a history request's after-seq (absent = 0).  A
+// value that is not a whole number the sequence space can hold —
+// NaN, negative, fractional, or past MaxUint32 for a sender-scoped
+// request (MaxUint64 otherwise) — rejects the request.
+func historyAfter(m *message.Message, senderScoped bool) (uint64, bool) {
+	v, ok := m.Attr(attrAfterSeq)
+	n, bound := v.Num(), 0x1p64
+	if senderScoped {
+		bound = 0x1p32
+	}
+	if ok && (v.Kind() != selector.KindNumber || !(n >= 0 && n < bound) || n != math.Trunc(n)) {
+		return 0, false
+	}
+	return uint64(n), true
 }
 
 // handleLock arbitrates a lock request or release and notifies the
@@ -212,21 +204,15 @@ func (c *Coordinator) notifyLock(to, ctrl, object, holder string) {
 	}
 }
 
-// orderedFrame pairs a decoded message with its original frame.
-type orderedFrame struct {
-	msg   *message.Message
-	frame []byte
-}
-
-// senderStream restores one sender's frame order.
+// senderStream restores one sender's frame order before archival.
 type senderStream struct {
-	next    uint32
-	pending map[uint32]orderedFrame
-	// missing records sequence numbers the flush path skipped past
+	buf *session.OrderBuffer
+	// missing holds, ascending, the seqs the flush path skipped past
 	// without archiving: a straggler carrying one of them is genuine
-	// lost history and archives once; any other seq below next is a
-	// duplicate delivery of an already-archived frame and is dropped.
-	missing map[uint32]struct{}
+	// lost history and archives once; any other seq below the buffer's
+	// next is a duplicate delivery of an already-archived frame and is
+	// dropped.
+	missing []uint32
 }
 
 // maxStreamPending bounds per-sender buffering; past it the stream
@@ -239,24 +225,24 @@ const maxStreamPending = 64
 // straggler is treated as a duplicate — the archive-safe direction.
 const maxStreamMissing = 1024
 
-// noteMissing records [from, to) as skipped without archiving.
-func (st *senderStream) noteMissing(from, to uint32) {
+// noteMissing records [from, to) as skipped without archiving.  Skips
+// only move forward, so appending keeps missing ascending and the
+// oldest entries are its prefix.
+func (st *senderStream) noteMissing(from, to uint64) {
+	if to-from > maxStreamMissing {
+		from = to - maxStreamMissing
+	}
 	for s := from; s < to; s++ {
-		if len(st.missing) >= maxStreamMissing {
-			oldest, have := uint32(0), false
-			for m := range st.missing {
-				if !have || m < oldest {
-					oldest, have = m, true
-				}
-			}
-			delete(st.missing, oldest)
-		}
-		st.missing[s] = struct{}{}
+		st.missing = append(st.missing, uint32(s))
+	}
+	if over := len(st.missing) - maxStreamMissing; over > 0 {
+		st.missing = st.missing[over:]
 	}
 }
 
-// reorder returns the frames now releasable in the sender's order.
-func (c *Coordinator) reorder(m *message.Message, frame []byte) []orderedFrame {
+// reorder returns the events now releasable in the sender's order,
+// each carrying its original frame and sender seq.
+func (c *Coordinator) reorder(m *message.Message, frame []byte) []session.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.streams[m.Sender]
@@ -264,20 +250,20 @@ func (c *Coordinator) reorder(m *message.Message, frame []byte) []orderedFrame {
 		// Framework clients number their messages from 1, so a fresh
 		// stream anchors there; a coordinator attaching mid-session
 		// catches up through the flush path below.
-		st = &senderStream{
-			next:    1,
-			pending: make(map[uint32]orderedFrame),
-			missing: make(map[uint32]struct{}),
-		}
+		st = &senderStream{buf: session.NewOrderBuffer(0)}
+		st.buf.SetClock(c.clk)
 		c.streams[m.Sender] = st
 	}
-	own := orderedFrame{msg: m, frame: append([]byte(nil), frame...)}
-	if m.Seq < st.next {
-		if _, lost := st.missing[m.Seq]; lost {
+	app, _ := m.Attr(message.AttrApp)
+	object, _ := m.Attr(message.AttrObject)
+	ev := session.Event{Seq: uint64(m.Seq), SenderSeq: m.Seq, Sender: m.Sender,
+		App: app.Str(), Object: object.Str(), Payload: frame}
+	if next, _ := st.buf.Gap(); ev.Seq < next {
+		if i, lost := slices.BinarySearch(st.missing, m.Seq); lost {
 			// A straggler the flush path skipped past: genuine lost
 			// history, archive it now (exactly once).
-			delete(st.missing, m.Seq)
-			return []orderedFrame{own}
+			st.missing = slices.Delete(st.missing, i, i+1)
+			return []session.Event{ev}
 		}
 		// Duplicate delivery of an already-archived frame: committing
 		// it again would mint a second session event.
@@ -288,117 +274,66 @@ func (c *Coordinator) reorder(m *message.Message, frame []byte) []orderedFrame {
 		}
 		return nil
 	}
-	st.pending[m.Seq] = own
-
-	var out []orderedFrame
-	for {
-		f, ok := st.pending[st.next]
-		if !ok {
-			break
-		}
-		delete(st.pending, st.next)
-		out = append(out, f)
-		st.next++
-	}
-	if len(st.pending) > maxStreamPending {
-		// Flush: a frame was probably lost.  Release in ascending
-		// order, remembering the skipped seqs as repairable holes.
-		seqs := make([]uint32, 0, len(st.pending))
-		for s := range st.pending {
-			seqs = append(seqs, s)
-		}
-		for i := 1; i < len(seqs); i++ { // insertion sort, tiny n
-			for j := i; j > 0 && seqs[j] < seqs[j-1]; j-- {
-				seqs[j], seqs[j-1] = seqs[j-1], seqs[j]
-			}
-		}
-		for _, s := range seqs {
-			out = append(out, st.pending[s])
-			delete(st.pending, s)
-			st.noteMissing(st.next, s)
-			st.next = s + 1
+	out := st.buf.Push(ev)
+	if _, parked := st.buf.Gap(); parked > maxStreamPending {
+		// Flush: a frame was probably lost.  Release everything parked
+		// in ascending order, remembering the skipped seqs as
+		// repairable holes.
+		for parked > 0 {
+			released, from, to := st.buf.Skip()
+			st.noteMissing(from, to)
+			out = append(out, released...)
+			_, parked = st.buf.Gap()
 		}
 	}
 	return out
 }
 
-func (c *Coordinator) archive(m *message.Message, frame []byte) {
+// archive commits a released event (the session copies its frame).
+func (c *Coordinator) archive(ev session.Event) {
 	// The session requires membership for Commit; the coordinator
 	// auto-registers senders it hears (they are in the multicast group
 	// by construction).
-	if !c.sess.IsMember(m.Sender) {
-		if err := c.sess.Join(profile.New(m.Sender)); err != nil {
+	if !c.sess.IsMember(ev.Sender) {
+		if err := c.sess.Join(profile.New(ev.Sender)); err != nil {
 			return // filtered by the group: not archived
 		}
 	}
-	app, _ := m.Attr(message.AttrApp)
-	object, _ := m.Attr(message.AttrObject)
-	ev, err := c.sess.Commit(m.Sender, app.Str(), object.Str(), nil)
-	if err != nil {
+	if _, err := c.sess.CommitEvent(ev); err != nil {
 		return
 	}
-	obs.AppendHop(obs.MsgID(m.Sender, m.Seq), c.ID(), obs.StageArchive)
-	c.mu.Lock()
-	c.frames[ev.Seq] = archivedFrame{data: append([]byte(nil), frame...), senderSeq: m.Seq}
-	c.mu.Unlock()
+	obs.AppendHop(obs.MsgID(ev.Sender, ev.SenderSeq), c.ID(), obs.StageArchive)
 }
 
-// replayFrame pairs an archived frame with the trace identity of the
-// message it carries, so a replay continues the original trace (the
-// flight recorder shows the repair hop on the message's own timeline).
-type replayFrame struct {
-	data    []byte
-	traceID uint64
-}
-
-// replay unicasts archived frames with Seq > after, in order.
+// replay unicasts archived frames with Seq > after, in session order.
 func (c *Coordinator) replay(to string, after uint64) {
-	events := c.sess.History(after)
-	c.mu.Lock()
-	frames := make([]replayFrame, 0, len(events))
-	for _, ev := range events {
-		if f, ok := c.frames[ev.Seq]; ok {
-			frames = append(frames, replayFrame{data: f.data, traceID: obs.MsgID(ev.Sender, f.senderSeq)})
-		}
-	}
-	c.mu.Unlock()
-	c.unicastFrames(to, frames)
+	c.unicastFrames(to, c.sess.History(after))
 }
 
 // replayFor answers a NACK-style repair request: it unicasts the
 // archived frames originated by sender whose sender-scoped sequence
-// number exceeds afterSenderSeq, in archive order.  Repeated requests
-// with an advancing afterSenderSeq resume where the previous replay
-// left off, and requests for already-delivered ranges are harmless —
-// the requester's order buffer discards what it has already applied.
+// number exceeds afterSenderSeq, in ascending sender-seq order.
+// Repeated requests with an advancing afterSenderSeq resume where the
+// previous replay left off, and requests for already-delivered ranges
+// are harmless — the requester's order buffer discards what it has
+// already applied.
 func (c *Coordinator) replayFor(to, sender string, afterSenderSeq uint32) {
-	events := c.sess.History(0)
-	c.mu.Lock()
-	frames := make([]replayFrame, 0, 8)
-	for _, ev := range events {
-		if ev.Sender != sender {
-			continue
-		}
-		if f, ok := c.frames[ev.Seq]; ok && f.senderSeq > afterSenderSeq {
-			frames = append(frames, replayFrame{data: f.data, traceID: obs.MsgID(sender, f.senderSeq)})
-		}
-	}
-	c.mu.Unlock()
-	c.unicastFrames(to, frames)
+	c.unicastFrames(to, c.sess.SenderHistory(sender, afterSenderSeq))
 }
 
-// unicastFrames ships replayed frames, appending a repair hop to each
-// frame's trace and re-attaching the trace extension so the requester
-// sees the replay on the message's original timeline.
-func (c *Coordinator) unicastFrames(to string, frames []replayFrame) {
-	for _, f := range frames {
-		obs.AppendHop(f.traceID, c.ID(), obs.StageRepair)
+// unicastFrames ships archived frames, appending a repair hop to each
+// message's trace and re-attaching the trace extension so the
+// requester sees the replay on the message's original timeline.
+func (c *Coordinator) unicastFrames(to string, events []session.Event) {
+	for _, ev := range events {
+		traceID := obs.MsgID(ev.Sender, ev.SenderSeq)
+		obs.AppendHop(traceID, c.ID(), obs.StageRepair)
 		var datagrams [][]byte
 		var err error
 		if obs.TraceEnabled() {
-			datagrams, err = c.env.WrapTraced(f.data, f.traceID)
+			datagrams, err = c.env.WrapTraced(ev.Payload, traceID)
 		} else {
-			datagrams, err = c.env.Wrap(f.data)
+			datagrams, err = c.env.Wrap(ev.Payload)
 		}
 		if err != nil {
 			return
@@ -412,11 +347,7 @@ func (c *Coordinator) unicastFrames(to string, frames []replayFrame) {
 }
 
 // ArchivedEvents returns the number of archived events.
-func (c *Coordinator) ArchivedEvents() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.frames)
-}
+func (c *Coordinator) ArchivedEvents() int { return c.sess.Archived() }
 
 // RequestHistory asks the coordinator to replay the session history
 // with sequence numbers greater than afterSeq.  Replayed events arrive

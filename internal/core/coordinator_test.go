@@ -2,10 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
@@ -192,5 +196,209 @@ func TestCoordinatorGroupFilterSkipsArchival(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if got := coord.ArchivedEvents(); got != 1 {
 		t.Errorf("archived %d events, want 1 (group filter)", got)
+	}
+}
+
+// eventPacket is the datagram a client's chat frame numbered seq
+// arrives as.
+func eventPacket(t testing.TB, sender string, seq uint32) transport.Packet {
+	t.Helper()
+	frame, err := message.Encode(&message.Message{
+		Kind:   message.KindEvent,
+		Sender: sender,
+		Seq:    seq,
+		Attrs:  selector.Attributes{message.AttrApp: selector.S("chat")},
+		Body:   []byte(fmt.Sprintf("%s #%d", sender, seq)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return transport.Packet{From: sender, Data: message.WrapWhole(frame)}
+}
+
+// drainSeqs returns the sender seqs of the frames queued at conn, in
+// arrival order.
+func drainSeqs(t testing.TB, conn transport.Conn) []uint32 {
+	t.Helper()
+	u := message.NewUnwrapper()
+	var seqs []uint32
+	for len(conn.Recv()) > 0 {
+		pkt := <-conn.Recv()
+		frame, err := u.Unwrap(pkt.From, pkt.Data)
+		if err != nil || frame == nil {
+			t.Fatalf("replayed datagram: %v", err)
+		}
+		m, err := message.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, m.Seq)
+	}
+	return seqs
+}
+
+// TestCoordinatorSeqJumpDoesNotStall: a sender jumping far ahead in
+// its sequence space must cost the coordinator a bounded amount of
+// work and memory — the flush remembers at most maxStreamMissing
+// skipped seqs — and a frame numbered 0xFFFFFFFF must not wrap the
+// stream back to 0, where every later frame would archive again.
+func TestCoordinatorSeqJumpDoesNotStall(t *testing.T) {
+	_, coord := newCoordinatedNet(t)
+	before := metrics.Counters()[metrics.CtrArchiveDupDrops]
+	pkts := []transport.Packet{eventPacket(t, "jumper", 1<<31)}
+	for s := uint32(2); s <= maxStreamPending+1; s++ {
+		pkts = append(pkts, eventPacket(t, "jumper", s))
+	}
+	pkts = append(pkts,
+		eventPacket(t, "jumper", 1<<31-1), // straggler within the window
+		eventPacket(t, "jumper", 100),     // skipped long ago: a duplicate
+		eventPacket(t, "top", 1),
+		eventPacket(t, "top", math.MaxUint32))
+	for s := uint32(math.MaxUint32 - maxStreamPending); s < math.MaxUint32; s++ {
+		pkts = append(pkts, eventPacket(t, "top", s))
+	}
+	pkts = append(pkts, eventPacket(t, "top", math.MaxUint32)) // a duplicate, not seq "0"
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, pkt := range pkts {
+			coord.handle(pkt)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("coordinator stalled on a sequence-number jump")
+	}
+	coord.mu.Lock()
+	missing := len(coord.streams["jumper"].missing)
+	coord.mu.Unlock()
+	if missing > maxStreamMissing {
+		t.Errorf("missing set holds %d seqs, bound %d", missing, maxStreamMissing)
+	}
+	// jumper: 2..65, 1<<31 and the straggler; top: 1 and the 65 flushed.
+	if got, want := coord.ArchivedEvents(), (maxStreamPending+2)+(maxStreamPending+2); got != want {
+		t.Errorf("archived %d events, want %d", got, want)
+	}
+	if got := metrics.Counters()[metrics.CtrArchiveDupDrops] - before; got != 2 {
+		t.Errorf("duplicate drops = %d, want 2", got)
+	}
+}
+
+// TestCoordinatorNackCostIndependentOfArchive: answering a NACK costs
+// the same allocations whether other senders have archived 100 frames
+// or 10,000, and replays exactly the asked-for sender's retained frames
+// past after-seq, in ascending sender seq — a flush-path straggler
+// included, frames trimmed by SetArchiveCap not.
+func TestCoordinatorNackCostIndependentOfArchive(t *testing.T) {
+	net, coord := newCoordinatedNet(t)
+	req, err := net.Attach("requester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The target's seq 5 is lost until the flush skips past it, then
+	// arrives as a straggler after seq 80.
+	for s := uint32(1); s <= 80; s++ {
+		if s != 5 {
+			coord.handle(eventPacket(t, "target", s))
+		}
+	}
+	coord.handle(eventPacket(t, "target", 5))
+	sent := 0
+	others := func(n int) {
+		for ; n > 0; n-- {
+			coord.handle(eventPacket(t, fmt.Sprintf("other-%d", sent%4), uint32(sent/4+1)))
+			sent++
+		}
+	}
+	nack := func() {
+		coord.replayFor("requester", "target", 60)
+		for len(req.Recv()) > 0 {
+			<-req.Recv()
+		}
+	}
+
+	others(100)
+	small := testing.AllocsPerRun(20, nack)
+	others(9900)
+	if got := coord.ArchivedEvents(); got != 80+10000 {
+		t.Fatalf("archived %d events, want %d", got, 80+10000)
+	}
+	large := testing.AllocsPerRun(20, nack)
+	if small != large {
+		t.Errorf("NACK allocs = %v with 100 other frames, %v with 10,000", small, large)
+	}
+
+	seqRange := func(from, to uint32) []uint32 {
+		var out []uint32
+		for s := from; s <= to; s++ {
+			out = append(out, s)
+		}
+		return out
+	}
+	coord.replayFor("requester", "target", 2)
+	if got, want := drainSeqs(t, req), seqRange(3, 80); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed %v, want %v", got, want)
+	}
+	// Session seqs 1..40 hold the target's seqs 1-4 and 6-41; the
+	// straggler (session seq 80) survives the trim.
+	coord.SetArchiveCap(coord.ArchivedEvents() - 40)
+	coord.replayFor("requester", "target", 2)
+	if got, want := drainSeqs(t, req), append([]uint32{5}, seqRange(42, 80)...); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed after trim %v, want %v", got, want)
+	}
+}
+
+// TestHistoryRequestValidatesAfterSeq: a history request whose
+// after-seq is not a whole number the sequence space can hold is
+// rejected outright, never truncated into some other request.
+func TestHistoryRequestValidatesAfterSeq(t *testing.T) {
+	net, coord := newCoordinatedNet(t)
+	req, err := net.Attach("requester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := uint32(1); s <= 3; s++ {
+		coord.handle(eventPacket(t, "alice", s))
+	}
+	for _, tc := range []struct {
+		name   string
+		after  selector.Value
+		scoped bool
+		want   int // frames replayed (none when rejected)
+	}{
+		{"absent", selector.Value{}, true, 3},
+		{"zero", selector.N(0), true, 3},
+		{"two", selector.N(2), true, 1},
+		{"max uint32", selector.N(math.MaxUint32), true, 0},
+		{"NaN", selector.N(math.NaN()), true, 0},
+		{"negative", selector.N(-1), true, 0},
+		{"fractional", selector.N(0.5), true, 0},
+		{"past uint32", selector.N(1<<32 + 1), true, 0},
+		{"infinite", selector.N(math.Inf(1)), true, 0},
+		{"string", selector.S("1"), true, 0},
+		{"unscoped zero", selector.N(0), false, 3},
+		{"unscoped two", selector.N(2), false, 1},
+		{"unscoped 2^33", selector.N(1 << 33), false, 0},
+		{"unscoped NaN", selector.N(math.NaN()), false, 0},
+		{"unscoped negative", selector.N(-1), false, 0},
+		{"unscoped fractional", selector.N(0.5), false, 0},
+		{"unscoped 2^64", selector.N(0x1p64), false, 0},
+	} {
+		attrs := selector.Attributes{attrCtrl: selector.S(ctrlHistoryReq)}
+		if tc.after.Valid() {
+			attrs[attrAfterSeq] = tc.after
+		}
+		if tc.scoped {
+			attrs[attrForSender] = selector.S("alice")
+		}
+		frame, err := message.Encode(&message.Message{Kind: message.KindControl, Sender: "requester", Seq: 1, Attrs: attrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord.handle(transport.Packet{From: "requester", Data: message.WrapWhole(frame)})
+		if got := len(drainSeqs(t, req)); got != tc.want {
+			t.Errorf("%s: replayed %d frames, want %d", tc.name, got, tc.want)
+		}
 	}
 }

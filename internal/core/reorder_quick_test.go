@@ -15,16 +15,13 @@ func TestQuickCoordinatorReorder(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(60) // stay under the flush threshold
-		c := &Coordinator{
-			frames:  make(map[uint64]archivedFrame),
-			streams: make(map[string]*senderStream),
-		}
+		c := &Coordinator{streams: make(map[string]*senderStream)}
 		perm := r.Perm(n)
 		var released []uint32
 		for _, i := range perm {
 			m := &message.Message{Kind: message.KindEvent, Sender: "s", Seq: uint32(i + 1)}
-			for _, of := range c.reorder(m, []byte{byte(i)}) {
-				released = append(released, of.msg.Seq)
+			for _, ev := range c.reorder(m, []byte{byte(i)}) {
+				released = append(released, ev.SenderSeq)
 			}
 		}
 		if len(released) != n {
@@ -50,17 +47,14 @@ func TestQuickCoordinatorReorder(t *testing.T) {
 func TestQuickCoordinatorReorderWithLoss(t *testing.T) {
 	f := func(seed int64) bool {
 		_ = seed // the scenario is deterministic; quick just repeats it
-		c := &Coordinator{
-			frames:  make(map[uint64]archivedFrame),
-			streams: make(map[string]*senderStream),
-		}
+		c := &Coordinator{streams: make(map[string]*senderStream)}
 		// Lose seq 1 so everything buffers until the flush threshold.
 		n := maxStreamPending + 10
 		var released []uint32
 		for i := 2; i <= n+1; i++ {
 			m := &message.Message{Kind: message.KindEvent, Sender: "s", Seq: uint32(i)}
-			for _, of := range c.reorder(m, nil) {
-				released = append(released, of.msg.Seq)
+			for _, ev := range c.reorder(m, nil) {
+				released = append(released, ev.SenderSeq)
 			}
 		}
 		if len(released) != n {

@@ -7,6 +7,8 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"adaptiveqos/internal/profile"
@@ -56,6 +58,10 @@ func (g *Group) Offers(result string) bool {
 type Event struct {
 	// Seq is the global sequence number assigned by the session.
 	Seq uint64
+	// SenderSeq is the number the sender stamped on the event in its
+	// own sequence space (0 = unnumbered); SenderHistory looks events
+	// up by it.
+	SenderSeq uint32
 	// Sender is the originating client.
 	Sender string
 	// App names the application ("chat", "whiteboard", "imageviewer").
@@ -77,14 +83,20 @@ type Session struct {
 	mu      sync.RWMutex
 	members map[string]*profile.Profile
 	nextSeq uint64
+	// archive holds the retained events; their Seqs are contiguous, so
+	// the event with Seq q sits at archive[q-archive[0].Seq].
 	archive []Event
+	// bySender indexes each sender's archived events: session seqs
+	// ordered by SenderSeq, so a per-sender lookup is a binary
+	// search however much other senders have archived.
+	bySender map[string][]uint64
 	// archiveCap bounds history; 0 = unlimited.
 	archiveCap int
 }
 
 // New creates an empty session for the group.
 func New(g Group) *Session {
-	return &Session{Group: g, members: make(map[string]*profile.Profile)}
+	return &Session{Group: g, members: make(map[string]*profile.Profile), bySender: make(map[string][]uint64)}
 }
 
 // SetArchiveCap bounds the archived history to the most recent n
@@ -164,29 +176,60 @@ func (s *Session) MatchMembers(sel *selector.Selector) []string {
 // Commit assigns the next global sequence number to an event from a
 // member, archives it and returns the sequenced event.
 func (s *Session) Commit(sender, app, object string, payload []byte) (Event, error) {
+	return s.CommitEvent(Event{Sender: sender, App: app, Object: object, Payload: payload})
+}
+
+// CommitEvent is Commit for a prepared event: it keeps ev's SenderSeq
+// and overwrites its Seq.  The payload is copied.
+func (s *Session) CommitEvent(ev Event) (Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.members[sender]; !ok {
-		return Event{}, fmt.Errorf("%w: %s", ErrNotMember, sender)
+	if _, ok := s.members[ev.Sender]; !ok {
+		return Event{}, fmt.Errorf("%w: %s", ErrNotMember, ev.Sender)
 	}
 	s.nextSeq++
-	ev := Event{
-		Seq:     s.nextSeq,
-		Sender:  sender,
-		App:     app,
-		Object:  object,
-		Payload: append([]byte(nil), payload...),
-	}
+	ev.Seq = s.nextSeq
+	ev.Payload = append([]byte(nil), ev.Payload...)
 	s.archive = append(s.archive, ev)
+	idx := s.bySender[ev.Sender]
+	s.bySender[ev.Sender] = slices.Insert(idx, s.senderSearchLocked(idx, uint64(ev.SenderSeq)+1), ev.Seq)
 	s.trimLocked()
 	return ev, nil
 }
 
+// trimLocked drops the archive prefix beyond archiveCap, unindexing
+// the dropped events and clearing their slots so their payloads can be
+// collected before the backing array is next reallocated.
 func (s *Session) trimLocked() {
-	if s.archiveCap > 0 && len(s.archive) > s.archiveCap {
-		drop := len(s.archive) - s.archiveCap
-		s.archive = append([]Event(nil), s.archive[drop:]...)
+	drop := len(s.archive) - s.archiveCap
+	if s.archiveCap <= 0 || drop <= 0 {
+		return
 	}
+	for _, ev := range s.archive[:drop] {
+		idx := s.bySender[ev.Sender]
+		i := s.senderSearchLocked(idx, uint64(ev.SenderSeq))
+		for idx[i] != ev.Seq {
+			i++
+		}
+		if i == 0 {
+			s.bySender[ev.Sender] = idx[1:] // the usual case: no copy
+		} else {
+			s.bySender[ev.Sender] = slices.Delete(idx, i, i+1)
+		}
+	}
+	clear(s.archive[:drop])
+	s.archive = s.archive[drop:]
+}
+
+// eventLocked returns the retained event with session seq q.
+func (s *Session) eventLocked(q uint64) Event {
+	return s.archive[q-s.archive[0].Seq]
+}
+
+// senderSearchLocked returns the first position in a bySender list
+// whose event's SenderSeq is at least from.
+func (s *Session) senderSearchLocked(idx []uint64, from uint64) int {
+	return sort.Search(len(idx), func(i int) bool { return uint64(s.eventLocked(idx[i]).SenderSeq) >= from })
 }
 
 // History returns archived events with Seq > afterSeq, in order — the
@@ -194,13 +237,33 @@ func (s *Session) trimLocked() {
 func (s *Session) History(afterSeq uint64) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Event
-	for _, ev := range s.archive {
-		if ev.Seq > afterSeq {
-			out = append(out, ev)
-		}
+	i := 0
+	if n := len(s.archive); n > 0 && afterSeq >= s.archive[0].Seq {
+		i = int(min(afterSeq-s.archive[0].Seq+1, uint64(n)))
+	}
+	return append([]Event(nil), s.archive[i:]...)
+}
+
+// SenderHistory returns sender's archived events with SenderSeq >
+// afterSenderSeq, in ascending SenderSeq order — the replay a NACK in
+// that sender's sequence space asks for.
+func (s *Session) SenderHistory(sender string, afterSenderSeq uint32) []Event {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	idx := s.bySender[sender]
+	idx = idx[s.senderSearchLocked(idx, uint64(afterSenderSeq)+1):]
+	out := make([]Event, len(idx))
+	for i, q := range idx {
+		out[i] = s.eventLocked(q)
 	}
 	return out
+}
+
+// Archived returns the number of retained events.
+func (s *Session) Archived() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.archive)
 }
 
 // LastSeq returns the highest assigned sequence number.

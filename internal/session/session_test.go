@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -363,6 +364,62 @@ func TestQuickVersionStoreLinear(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickSenderHistoryMatchesScan: SenderHistory returns exactly what
+// filtering the whole history would — the sender's retained events
+// past the given sender seq, ascending by SenderSeq — whatever order
+// the sender seqs were committed in and however much a cap trimmed.
+func TestQuickSenderHistoryMatchesScan(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		s := New(Group{Objective: "o"})
+		senders := []string{"a", "b", "c"}
+		for _, id := range senders {
+			s.Join(member(id, "x"))
+		}
+		s.SetArchiveCap(r.Intn(3) * 40) // 0 = unlimited
+		perms := make(map[string][]int)
+		for _, id := range senders {
+			perms[id] = r.Perm(60)
+		}
+		for i := 0; i < 60*len(senders); i++ {
+			id := senders[r.Intn(len(senders))]
+			if len(perms[id]) == 0 {
+				continue
+			}
+			seq := uint32(perms[id][0]) // 0 = unnumbered, indexed too
+			perms[id] = perms[id][1:]
+			if _, err := s.CommitEvent(Event{Sender: id, SenderSeq: seq}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range senders {
+			after := uint32(r.Intn(60))
+			var want []Event
+			for _, ev := range s.History(0) {
+				if ev.Sender == id && ev.SenderSeq > after {
+					want = append(want, ev)
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].SenderSeq < want[j].SenderSeq })
+			got := s.SenderHistory(id, after)
+			if len(got) != len(want) {
+				t.Logf("seed %d sender %s after %d: got %d events, want %d", seed, id, after, len(got), len(want))
+				return false
+			}
+			for i := range got {
+				if got[i].Seq != want[i].Seq {
+					t.Logf("seed %d sender %s: got seq %d at %d, want %d", seed, id, got[i].Seq, i, want[i].Seq)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
